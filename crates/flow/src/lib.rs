@@ -17,10 +17,17 @@
 //!
 //! The engine is exactly deterministic: events are processed in
 //! `(time, seq)` order (same tie-breaking contract as the packet
-//! engine's calendar queue), the allocator visits links in sorted id
-//! order, and the whole loop is sequential floating-point arithmetic —
-//! identical inputs produce bit-identical outputs on any thread or
-//! process layout.
+//! engine's calendar queue), the allocator saturates links in
+//! `(share, link id)` order, and the whole loop is sequential
+//! floating-point arithmetic — identical inputs produce bit-identical
+//! outputs on any thread or process layout.
+//!
+//! A filling round costs O(log L + the bottleneck's flows × path
+//! length): every link an active flow crosses keeps its incidence list
+//! and its initial share in sorted order across events, and rounds take
+//! the next bottleneck from that order merged with a small heap of
+//! re-queued links. A test-only linear-scan allocator (`oracle.rs`) is
+//! the reference this one must match bit for bit.
 //!
 //! What the abstraction gives up is transport dynamics: no slow start,
 //! no congestion-control law, no switch buffers, no drops or PFC. A
@@ -30,6 +37,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+#[cfg(test)]
+mod oracle;
 
 /// Behavioral version of the flow engine.
 ///
@@ -134,56 +147,324 @@ pub struct FlowStats {
     pub fastpath_allocs: u64,
 }
 
+/// Marks a link no active flow crosses.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Marks a slot with no candidate in the sorted initial order.
+const NOT_LISTED: u128 = u128::MAX;
+
 /// One active flow inside the event loop.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Active {
     /// Index into the caller's `flows` slice.
     idx: usize,
-    seq: u64,
+    /// The flow's path is `paths[start..end]` of the run's path arena.
+    start: u32,
+    end: u32,
     remaining: f64,
     rate: f64,
 }
 
-/// The allocator's persistent view of contended links: sorted link ids
-/// with the number of active flows crossing each. Maintained
-/// incrementally on admit/retire so a re-allocation never rebuilds it.
-#[derive(Default)]
-struct LinkLoad {
-    ids: Vec<u32>,
-    counts: Vec<u32>,
+/// Sort key of a fair share. Shares are never negative or NaN, and the
+/// IEEE bits of a non-negative `f64` order like its value; adding `0.0`
+/// folds `-0.0` into `0.0`. So two keys compare exactly as their shares
+/// do under `<` and `==`.
+fn share_key(share: f64) -> u64 {
+    (share + 0.0).to_bits()
 }
 
-impl LinkLoad {
-    fn admit(&mut self, path: &[LinkId]) {
-        for l in path {
-            match self.ids.binary_search(&l.0) {
-                Ok(p) => self.counts[p] += 1,
-                Err(p) => {
-                    self.ids.insert(p, l.0);
-                    self.counts.insert(p, 1);
+/// A bottleneck candidate: share key, link id and slot packed high to
+/// low into one integer, so candidates order by the smallest share
+/// first and, on a tie, the lowest link id — the selection rule of
+/// progressive filling.
+fn candidate(key: u64, id: u32, slot: usize) -> u128 {
+    (key as u128) << 64 | (id as u128) << 32 | slot as u128
+}
+
+/// The water-filling allocator. Its buffers live as long as the engine,
+/// so a warm event loop never allocates.
+///
+/// Every link some active flow crosses owns a *slot*: `slot_of`, indexed
+/// by raw [`LinkId`], finds it, and the per-slot arrays hold the link's
+/// state. Slots and their incidence lists are kept up to date as flows
+/// are admitted and retired, and the sorted initial candidates are
+/// patched for the slots that changed, so an allocation starts from
+/// copies instead of rebuilding them.
+#[derive(Default)]
+struct Filler {
+    /// Raw link id → slot; `NO_SLOT` for a link no active flow crosses.
+    slot_of: Vec<u32>,
+    /// Slots released by their last flow, for reuse.
+    free: Vec<u32>,
+    /// Per slot: raw link id and capacity.
+    ids: Vec<u32>,
+    caps: Vec<f64>,
+    /// Per slot: active path entries crossing the link; 0 when free.
+    load: Vec<u32>,
+    /// Per slot: the active flows crossing the link, by input index,
+    /// once per path entry.
+    crossing: Vec<Vec<u32>>,
+    /// Per slot: its candidate in `sorted`, or `NOT_LISTED`.
+    listed: Vec<u128>,
+    /// The initial candidate `(cap / load, id)` of every live slot,
+    /// ascending — as of the last allocation that filled; slots changed
+    /// since are in `changed` and are re-sorted by the next one.
+    sorted: Vec<u128>,
+    changed: Vec<u32>,
+    pending: Vec<bool>,
+
+    // Filling state, reset by every allocation.
+    /// Per slot: residual capacity, unfrozen path entries crossing it,
+    /// and the key its newest candidate was queued at. Every slot with
+    /// `cnt > 0` has a queued candidate keyed `low`, and `low` never
+    /// exceeds the key of its current share `rem / cnt`.
+    rem: Vec<f64>,
+    cnt: Vec<u32>,
+    low: Vec<u64>,
+    /// Slots whose share changed this round, each listed once.
+    dirty: Vec<u32>,
+    marked: Vec<bool>,
+    /// Candidates queued during this allocation, popped smallest first.
+    requeued: BinaryHeap<Reverse<u128>>,
+    /// Per input flow: its index in the active set.
+    pos: Vec<u32>,
+    /// Per active flow: rate fixed in an earlier round.
+    frozen: Vec<bool>,
+}
+
+impl Filler {
+    /// Empty state for a run over `links` links and `flows` flows.
+    fn reset(&mut self, links: usize, flows: usize) {
+        self.slot_of.clear();
+        self.slot_of.resize(links, NO_SLOT);
+        self.pos.clear();
+        self.pos.resize(flows, 0);
+        self.free.clear();
+        self.ids.clear();
+        self.caps.clear();
+        self.load.clear();
+        self.listed.clear();
+        self.sorted.clear();
+        self.changed.clear();
+        self.pending.clear();
+    }
+
+    /// Register flow `idx`, crossing `path`.
+    fn admit(&mut self, idx: usize, path: &[u32], net_caps: &[f64]) {
+        for &l in path {
+            let slot = match self.slot_of[l as usize] {
+                NO_SLOT => self.open(l, net_caps[l as usize]),
+                slot => slot as usize,
+            };
+            self.load[slot] += 1;
+            self.crossing[slot].push(idx as u32);
+            self.touch(slot);
+        }
+    }
+
+    /// Give link `l` a slot: a released one if any, else a new one.
+    fn open(&mut self, l: u32, cap: f64) -> usize {
+        let slot = self.free.pop().map_or_else(
+            || {
+                let slot = self.ids.len();
+                self.ids.push(0);
+                self.caps.push(0.0);
+                self.load.push(0);
+                self.listed.push(NOT_LISTED);
+                self.pending.push(false);
+                if slot == self.crossing.len() {
+                    self.crossing.push(Vec::new());
+                }
+                self.crossing[slot].clear();
+                slot
+            },
+            |slot| slot as usize,
+        );
+        self.slot_of[l as usize] = slot as u32;
+        self.ids[slot] = l;
+        self.caps[slot] = cap;
+        slot
+    }
+
+    /// Unregister flow `idx`, crossing `path`.
+    fn retire(&mut self, idx: usize, path: &[u32]) {
+        for &l in path {
+            let slot = self.slot_of[l as usize] as usize;
+            self.load[slot] -= 1;
+            let crossing = &mut self.crossing[slot];
+            let at = crossing
+                .iter()
+                .position(|&f| f == idx as u32)
+                .expect("retired flow is listed on its links");
+            crossing.swap_remove(at);
+            if self.load[slot] == 0 {
+                self.slot_of[l as usize] = NO_SLOT;
+                self.free.push(slot as u32);
+            }
+            self.touch(slot);
+        }
+    }
+
+    /// Note that `slot`'s load changed, or that it was released or reused.
+    fn touch(&mut self, slot: usize) {
+        if !self.pending[slot] {
+            self.pending[slot] = true;
+            self.changed.push(slot as u32);
+        }
+    }
+
+    /// Bring `sorted` up to date with every slot changed since the last
+    /// filling allocation. Allocations the fast path serves skip this.
+    fn sync_sorted(&mut self) {
+        for &slot in &self.changed {
+            let slot = slot as usize;
+            self.pending[slot] = false;
+            if self.listed[slot] != NOT_LISTED {
+                let at = self
+                    .sorted
+                    .binary_search(&self.listed[slot])
+                    .expect("a listed candidate is in the sorted order");
+                self.sorted.remove(at);
+                self.listed[slot] = NOT_LISTED;
+            }
+            if self.load[slot] > 0 {
+                let key = share_key(self.caps[slot] / self.load[slot] as f64);
+                let c = candidate(key, self.ids[slot], slot);
+                let at = self.sorted.binary_search(&c).unwrap_or_else(|at| at);
+                self.sorted.insert(at, c);
+                self.listed[slot] = c;
+            }
+        }
+        self.changed.clear();
+    }
+
+    /// Fast path: when one link is crossed by *every* active flow and
+    /// its equal split is feasible on all other links, the max-min
+    /// allocation is the uniform rate `cap / n`. Detects the full-mesh /
+    /// incast shape in one scan instead of a filling loop.
+    fn single_bottleneck(&self, active: &mut [Active], stats: &mut FlowStats) -> bool {
+        let n = active.len() as u32;
+        let mut shared: Option<f64> = None;
+        for (&cap, &load) in self.caps.iter().zip(&self.load) {
+            if load == n {
+                let share = cap / n as f64;
+                if shared.is_none_or(|s| share < s) {
+                    shared = Some(share);
                 }
             }
         }
-    }
-
-    fn retire(&mut self, path: &[LinkId]) {
-        for l in path {
-            let p = self
-                .ids
-                .binary_search(&l.0)
-                .expect("retired flow crosses an untracked link");
-            self.counts[p] -= 1;
-            if self.counts[p] == 0 {
-                self.ids.remove(p);
-                self.counts.remove(p);
+        let Some(share) = shared else {
+            return false;
+        };
+        for (&cap, &load) in self.caps.iter().zip(&self.load) {
+            if load > 0 && cap / load as f64 + 1e-15 < share {
+                return false;
             }
         }
+        for f in active.iter_mut() {
+            f.rate = share;
+        }
+        stats.fastpath_allocs += 1;
+        true
     }
 
-    fn dense(&self, link: LinkId) -> usize {
-        self.ids
-            .binary_search(&link.0)
-            .expect("active flow crosses an untracked link")
+    /// Progressive filling: repeatedly saturate the most contended link.
+    /// A round takes the smallest candidate — from the sorted initial
+    /// ones or the re-queued ones — and walks only the bottleneck's
+    /// incidence list and the paths of the flows it freezes.
+    fn fill(&mut self, active: &mut [Active], paths: &[u32], stats: &mut FlowStats) {
+        self.sync_sorted();
+        self.rem.clear();
+        self.rem.extend_from_slice(&self.caps);
+        self.cnt.clear();
+        self.cnt.extend_from_slice(&self.load);
+        self.low.clear();
+        self.low
+            .extend(self.listed.iter().map(|&c| (c >> 64) as u64));
+        self.marked.clear();
+        self.marked.resize(self.ids.len(), false);
+        self.requeued.clear();
+        self.frozen.clear();
+        self.frozen.resize(active.len(), false);
+        for (k, f) in active.iter().enumerate() {
+            self.pos[f.idx] = k as u32;
+        }
+
+        let mut next = 0; // cursor into `sorted`
+        let mut unfrozen = active.len();
+        while unfrozen > 0 {
+            let top = match (self.sorted.get(next), self.requeued.peek()) {
+                (Some(&c), Some(&Reverse(r))) if r < c => self.requeued.pop().map(|r| r.0),
+                (Some(&c), _) => {
+                    next += 1;
+                    Some(c)
+                }
+                (None, _) => self.requeued.pop().map(|r| r.0),
+            };
+            let Some(top) = top else {
+                // Unreachable while every active flow has a non-empty
+                // path; guard against a stall anyway.
+                for (f, &frozen) in active.iter_mut().zip(&self.frozen) {
+                    if !frozen {
+                        f.rate = f64::INFINITY;
+                    }
+                }
+                break;
+            };
+            let (key, b) = ((top >> 64) as u64, top as u32 as usize);
+            if self.cnt[b] == 0 {
+                continue; // saturated, or every flow on it is frozen
+            }
+            let share = self.rem[b] / self.cnt[b] as f64;
+            let now = share_key(share);
+            if now != key {
+                // Out of date. If this was the slot's newest candidate,
+                // its share has risen since: re-queue it there.
+                if key == self.low[b] {
+                    self.low[b] = now;
+                    self.requeued.push(Reverse(candidate(now, self.ids[b], b)));
+                }
+                continue;
+            }
+            for &f in &self.crossing[b] {
+                let k = self.pos[f as usize] as usize;
+                if self.frozen[k] {
+                    continue;
+                }
+                self.frozen[k] = true;
+                unfrozen -= 1;
+                let f = &mut active[k];
+                f.rate = share;
+                for &l in &paths[f.start as usize..f.end as usize] {
+                    let slot = self.slot_of[l as usize] as usize;
+                    self.rem[slot] = (self.rem[slot] - share).max(0.0);
+                    self.cnt[slot] -= 1;
+                    if !self.marked[slot] {
+                        self.marked[slot] = true;
+                        self.dirty.push(slot as u32);
+                    }
+                }
+            }
+            // The bottleneck is exactly saturated; pin it against rounding.
+            self.rem[b] = 0.0;
+            self.cnt[b] = 0;
+            // Rounding can drop a share below its queued key; queue it
+            // again so `low` stays a lower bound.
+            for &slot in &self.dirty {
+                let slot = slot as usize;
+                self.marked[slot] = false;
+                if self.cnt[slot] > 0 {
+                    let now = share_key(self.rem[slot] / self.cnt[slot] as f64);
+                    if now < self.low[slot] {
+                        self.low[slot] = now;
+                        self.requeued
+                            .push(Reverse(candidate(now, self.ids[slot], slot)));
+                    }
+                }
+            }
+            self.dirty.clear();
+            stats.waterfill_rounds += 1;
+        }
     }
 }
 
@@ -198,217 +479,166 @@ impl LinkLoad {
 /// If a flow references a link outside `net`, or a start time is not
 /// finite.
 pub fn simulate(net: &FlowNet, flows: &[FlowDef], end_s: f64) -> (Vec<FlowResult>, FlowStats) {
-    for f in flows {
-        assert!(f.start_s.is_finite(), "flow start must be finite");
-        for l in &f.path {
-            assert!(
-                (l.0 as usize) < net.num_links(),
-                "flow path references unknown link {}",
-                l.0
-            );
-        }
-    }
-    let mut order: Vec<usize> = (0..flows.len()).collect();
-    order.sort_by(|&a, &b| {
-        flows[a]
-            .start_s
-            .total_cmp(&flows[b].start_s)
-            .then(flows[a].seq.cmp(&flows[b].seq))
-    });
-
-    let mut finish: Vec<Option<f64>> = vec![None; flows.len()];
-    let mut stats = FlowStats::default();
-    let mut active: Vec<Active> = Vec::new();
-    let mut load = LinkLoad::default();
-    let mut next = 0usize; // cursor into `order`
-    let mut t = 0.0f64;
-
-    loop {
-        if active.is_empty() {
-            // Jump straight to the next arrival batch.
-            let Some(&first) = order.get(next) else { break };
-            t = t.max(flows[first].start_s);
-            if t >= end_s {
-                break;
-            }
-        } else {
-            // Next event: earliest completion, next arrival, or the end
-            // of time — whichever comes first.
-            let mut dt_done = f64::INFINITY;
-            for f in &active {
-                if f.rate > 0.0 {
-                    dt_done = dt_done.min((f.remaining / f.rate).max(0.0));
-                }
-            }
-            let t_arrival = order
-                .get(next)
-                .map_or(f64::INFINITY, |&i| flows[i].start_s.max(t));
-            let t_next = (t + dt_done).min(t_arrival).min(end_s);
-            let dt = t_next - t;
-            if dt > 0.0 {
-                for f in &mut active {
-                    f.remaining -= f.rate * dt;
-                }
-            }
-            t = t_next;
-            // Retire completions in (time, seq) order.
-            let mut done: Vec<usize> = (0..active.len())
-                .filter(|&k| active[k].remaining <= EPS_BYTES)
-                .collect();
-            done.sort_by_key(|&k| active[k].seq);
-            for &k in done.iter().rev() {
-                // Reverse index order keeps earlier swap_remove targets
-                // stable; completion bookkeeping below is index-free.
-                load.retire(&flows[active[k].idx].path);
-            }
-            for &k in &done {
-                finish[active[k].idx] = Some(t);
-                stats.completed += 1;
-            }
-            let mut k = 0;
-            while k < active.len() {
-                if active[k].remaining <= EPS_BYTES {
-                    active.remove(k);
-                } else {
-                    k += 1;
-                }
-            }
-            if t >= end_s {
-                break;
-            }
-        }
-        // Admit every flow that has arrived by now, in (start, seq) order.
-        while let Some(&i) = order.get(next) {
-            if flows[i].start_s > t {
-                break;
-            }
-            next += 1;
-            if flows[i].path.is_empty() {
-                // Zero-cost loopback: transfers instantly.
-                finish[i] = Some(t);
-                stats.completed += 1;
-                continue;
-            }
-            load.admit(&flows[i].path);
-            active.push(Active {
-                idx: i,
-                seq: flows[i].seq,
-                remaining: (flows[i].size_bytes as f64).max(EPS_BYTES * 2.0),
-                rate: 0.0,
-            });
-            stats.arrivals += 1;
-        }
-        if !active.is_empty() {
-            allocate(net, &mut active, &load, flows, &mut stats);
-        }
-        stats.events += 1;
-    }
-    stats.censored += active.len() as u64;
-    stats.censored += (flows.len() - next) as u64;
-    (
-        finish
-            .into_iter()
-            .map(|f| FlowResult { finish_s: f })
-            .collect(),
-        stats,
-    )
+    Engine::default().run(net, flows, end_s)
 }
 
-/// Recompute every active flow's max-min fair rate.
-fn allocate(
-    net: &FlowNet,
-    active: &mut [Active],
-    load: &LinkLoad,
-    flows: &[FlowDef],
-    stats: &mut FlowStats,
-) {
-    if try_single_bottleneck(net, active, load, stats) {
-        return;
-    }
-    // Progressive filling: repeatedly saturate the most contended link.
-    let nlinks = load.ids.len();
-    let mut rem: Vec<f64> = load.ids.iter().map(|&id| net.caps[id as usize]).collect();
-    let mut cnt: Vec<u32> = load.counts.clone();
-    let mut frozen = vec![false; active.len()];
-    let mut unfrozen = active.len();
-    while unfrozen > 0 {
-        let mut best: Option<(usize, f64)> = None;
-        for l in 0..nlinks {
-            if cnt[l] > 0 {
-                let share = rem[l] / cnt[l] as f64;
-                if best.is_none_or(|(_, s)| share < s) {
-                    best = Some((l, share));
-                }
+/// The event loop's buffers, reusable across runs.
+#[derive(Default)]
+struct Engine {
+    active: Vec<Active>,
+    filler: Filler,
+}
+
+impl Engine {
+    fn run(
+        &mut self,
+        net: &FlowNet,
+        flows: &[FlowDef],
+        end_s: f64,
+    ) -> (Vec<FlowResult>, FlowStats) {
+        for f in flows {
+            assert!(f.start_s.is_finite(), "flow start must be finite");
+            for l in &f.path {
+                assert!(
+                    (l.0 as usize) < net.num_links(),
+                    "flow path references unknown link {}",
+                    l.0
+                );
             }
         }
-        let Some((bottleneck, share)) = best else {
-            // Unreachable while every active flow has a non-empty path;
-            // guard against a stall anyway.
-            for (k, f) in active.iter_mut().enumerate() {
-                if !frozen[k] {
-                    f.rate = f64::INFINITY;
+        let mut order: Vec<usize> = (0..flows.len()).collect();
+        order.sort_by(|&a, &b| {
+            flows[a]
+                .start_s
+                .total_cmp(&flows[b].start_s)
+                .then(flows[a].seq.cmp(&flows[b].seq))
+        });
+        // Every path, flattened once in admission order.
+        let total: usize = flows.iter().map(|f| f.path.len()).sum();
+        assert!(
+            total < u32::MAX as usize && flows.len() < u32::MAX as usize,
+            "flow set exceeds u32 indexing"
+        );
+        let mut paths: Vec<u32> = Vec::with_capacity(total);
+        for &i in &order {
+            paths.extend(flows[i].path.iter().map(|l| l.0));
+        }
+        let mut cursor = 0u32; // arena offset of the next admission
+
+        let Engine { active, filler } = self;
+        active.clear();
+        filler.reset(net.num_links(), flows.len());
+        let mut results = vec![FlowResult { finish_s: None }; flows.len()];
+        let mut stats = FlowStats::default();
+        let mut next = 0usize; // cursor into `order`
+        let mut t = 0.0f64;
+
+        loop {
+            if active.is_empty() {
+                // Jump straight to the next arrival batch.
+                let Some(&first) = order.get(next) else { break };
+                t = t.max(flows[first].start_s);
+                if t >= end_s {
+                    break;
+                }
+            } else {
+                // Next event: earliest completion, next arrival, or the
+                // end of time — whichever comes first.
+                let mut dt_done = f64::INFINITY;
+                for f in active.iter() {
+                    if f.rate > 0.0 {
+                        dt_done = dt_done.min((f.remaining / f.rate).max(0.0));
+                    }
+                }
+                let t_arrival = order
+                    .get(next)
+                    .map_or(f64::INFINITY, |&i| flows[i].start_s.max(t));
+                let t_next = (t + dt_done).min(t_arrival).min(end_s);
+                let dt = t_next - t;
+                if dt > 0.0 {
+                    for f in active.iter_mut() {
+                        f.remaining -= f.rate * dt;
+                    }
+                }
+                t = t_next;
+                active.retain(|f| {
+                    let done = f.remaining <= EPS_BYTES;
+                    if done {
+                        results[f.idx].finish_s = Some(t);
+                        stats.completed += 1;
+                        filler.retire(f.idx, &paths[f.start as usize..f.end as usize]);
+                    }
+                    !done
+                });
+                if t >= end_s {
+                    break;
                 }
             }
-            break;
-        };
-        for (k, f) in active.iter_mut().enumerate() {
-            if frozen[k]
-                || !flows[f.idx]
-                    .path
-                    .iter()
-                    .any(|l| load.dense(*l) == bottleneck)
-            {
-                continue;
+            // Admit every flow that has arrived by now, in (start, seq) order.
+            while let Some(&i) = order.get(next) {
+                if flows[i].start_s > t {
+                    break;
+                }
+                next += 1;
+                let start = cursor;
+                cursor += flows[i].path.len() as u32;
+                if start == cursor {
+                    // Zero-cost loopback: transfers instantly.
+                    results[i].finish_s = Some(t);
+                    stats.completed += 1;
+                    continue;
+                }
+                filler.admit(i, &paths[start as usize..cursor as usize], &net.caps);
+                active.push(Active {
+                    idx: i,
+                    start,
+                    end: cursor,
+                    remaining: (flows[i].size_bytes as f64).max(EPS_BYTES * 2.0),
+                    rate: 0.0,
+                });
+                stats.arrivals += 1;
             }
-            frozen[k] = true;
-            unfrozen -= 1;
-            f.rate = share;
-            for l in &flows[f.idx].path {
-                let d = load.dense(*l);
-                rem[d] = (rem[d] - share).max(0.0);
-                cnt[d] -= 1;
+            // Recompute every active flow's max-min fair rate.
+            if !active.is_empty() && !filler.single_bottleneck(active, &mut stats) {
+                filler.fill(active, &paths, &mut stats);
             }
+            stats.events += 1;
         }
-        // The bottleneck is exactly saturated; pin it against rounding.
-        rem[bottleneck] = 0.0;
-        cnt[bottleneck] = 0;
-        stats.waterfill_rounds += 1;
+        stats.censored += active.len() as u64;
+        stats.censored += (flows.len() - next) as u64;
+        (results, stats)
     }
 }
 
-/// Fast path: when one link is crossed by *every* active flow and its
-/// equal split is feasible on all other links, the max-min allocation
-/// is the uniform rate `cap / n`. Detects the full-mesh / incast shape
-/// in one scan instead of a filling loop.
-fn try_single_bottleneck(
-    net: &FlowNet,
-    active: &mut [Active],
-    load: &LinkLoad,
-    stats: &mut FlowStats,
-) -> bool {
-    let n = active.len() as u32;
-    let mut shared: Option<(usize, f64)> = None;
-    for (l, (&id, &c)) in load.ids.iter().zip(&load.counts).enumerate() {
-        if c == n {
-            let share = net.caps[id as usize] / n as f64;
-            if shared.is_none_or(|(_, s)| share < s) {
-                shared = Some((l, share));
-            }
-        }
+#[cfg(test)]
+impl Engine {
+    /// Capacity of every buffer the event loop writes to.
+    fn capacities(&self) -> Vec<usize> {
+        let f = &self.filler;
+        let mut caps = vec![
+            self.active.capacity(),
+            f.slot_of.capacity(),
+            f.free.capacity(),
+            f.ids.capacity(),
+            f.caps.capacity(),
+            f.load.capacity(),
+            f.crossing.capacity(),
+            f.listed.capacity(),
+            f.sorted.capacity(),
+            f.changed.capacity(),
+            f.pending.capacity(),
+            f.rem.capacity(),
+            f.cnt.capacity(),
+            f.low.capacity(),
+            f.dirty.capacity(),
+            f.marked.capacity(),
+            f.requeued.capacity(),
+            f.pos.capacity(),
+            f.frozen.capacity(),
+        ];
+        caps.extend(f.crossing.iter().map(Vec::capacity));
+        caps
     }
-    let Some((_, share)) = shared else {
-        return false;
-    };
-    for (&id, &c) in load.ids.iter().zip(&load.counts) {
-        if net.caps[id as usize] / c as f64 + 1e-15 < share {
-            return false;
-        }
-    }
-    for f in active.iter_mut() {
-        f.rate = share;
-    }
-    stats.fastpath_allocs += 1;
-    true
 }
 
 #[cfg(test)]
@@ -549,6 +779,40 @@ mod tests {
         for r in &a {
             assert_eq!(r.finish_s, Some(3.0), "3 equal flows at 100/3 B/s");
         }
+    }
+
+    #[test]
+    fn a_warm_engine_runs_without_allocating() {
+        // Every buffer the event loop touches lives in `Engine`. A second
+        // run of the same flows on a warm engine replays the same events,
+        // so if no buffer grows, no event allocated.
+        let mut net = FlowNet::new();
+        let hosts: Vec<LinkId> = (0..32).map(|_| net.add_link(100.0)).collect();
+        let racks: Vec<LinkId> = (0..4).map(|_| net.add_link(300.0)).collect();
+        let defs: Vec<FlowDef> = (0..400u64)
+            .map(|i| {
+                let (src, dst) = ((i % 32) as usize, ((i * 13 + 7) % 32) as usize);
+                let mut path = vec![hosts[src], hosts[dst]];
+                if src % 4 != dst % 4 {
+                    path.extend([racks[src % 4], racks[dst % 4]]);
+                }
+                flow(i, 50 + i * 31 % 200, i as f64 * 0.1, path)
+            })
+            .collect();
+        let mut engine = Engine::default();
+        let cold = engine.run(&net, &defs, f64::INFINITY);
+        let warm_caps = engine.capacities();
+        let warm = engine.run(&net, &defs, f64::INFINITY);
+        assert_eq!(cold, warm);
+        assert!(
+            warm.1.waterfill_rounds > warm.1.events,
+            "general filling ran"
+        );
+        assert_eq!(
+            engine.capacities(),
+            warm_caps,
+            "a buffer grew on a warm run"
+        );
     }
 
     #[test]

@@ -230,19 +230,35 @@ fn fat_tree_sweep(runs: usize) -> BenchCase {
     }
 }
 
+/// The links a [`flow_core`] case shares between hosts.
+#[derive(Clone, Copy)]
+enum CoreFabric {
+    /// Host NICs only: no link is shared by more than a few flows.
+    Mesh,
+    /// One fabric link at twice the host rate that every flow crosses.
+    Shared,
+    /// Hosts split into this many racks; a flow between racks crosses
+    /// its source rack's uplink and its destination rack's downlink,
+    /// each at four times the host rate.
+    Racks(u64),
+}
+
 /// The flow-engine core benchmark: `total` flows through a synthetic
 /// fabric, arrivals staggered so a bounded set is in flight at once (as
-/// in a real sweep). The 1k case routes host-to-host without a shared
-/// link, forcing general water-filling every event; the 100k case pushes
-/// everything through one shared fabric link, the single-bottleneck fast
-/// path a fat-tree rack reduces to. The `events` figure is *flows
-/// completed*, so events/sec reads as flow-completion throughput.
+/// in a real sweep). The mesh case routes host-to-host without a shared
+/// link, forcing general water-filling every event; the shared case
+/// pushes everything through one fabric link, the single-bottleneck
+/// fast path a fat-tree rack reduces to; the racks case shares a few
+/// rack links among tens of active flows, so general water-filling runs
+/// tens of rounds per event, as in `fattree-100k`. The `events` figure
+/// is *flows completed*, so events/sec reads as flow-completion
+/// throughput.
 fn flow_core(
     runs: usize,
     total: u64,
     hosts: u64,
     stagger_s: f64,
-    shared_bottleneck: bool,
+    fabric: CoreFabric,
     name: &'static str,
     what: &'static str,
 ) -> BenchCase {
@@ -252,14 +268,27 @@ fn flow_core(
         let mut net = FlowNet::new();
         let up: Vec<_> = (0..hosts).map(|_| net.add_link(host_bps)).collect();
         let down: Vec<_> = (0..hosts).map(|_| net.add_link(host_bps)).collect();
-        let fabric = shared_bottleneck.then(|| net.add_link(2.0 * host_bps));
+        let shared = matches!(fabric, CoreFabric::Shared).then(|| net.add_link(2.0 * host_bps));
+        let racks = match fabric {
+            CoreFabric::Racks(r) => r,
+            _ => 0,
+        };
+        let rack_up: Vec<_> = (0..racks).map(|_| net.add_link(4.0 * host_bps)).collect();
+        let rack_down: Vec<_> = (0..racks).map(|_| net.add_link(4.0 * host_bps)).collect();
         let flows: Vec<FlowDef> = (0..total)
             .map(|i| {
                 let src = (i % hosts) as usize;
                 let dst = ((i * 7 + 1) % hosts) as usize;
                 let mut path = vec![up[src], down[dst]];
-                if let Some(f) = fabric {
+                if let Some(f) = shared {
                     path.push(f);
+                }
+                if racks > 0 {
+                    let (rs, rd) = (src % racks as usize, dst % racks as usize);
+                    if rs != rd {
+                        path.push(rack_up[rs]);
+                        path.push(rack_down[rd]);
+                    }
                 }
                 FlowDef {
                     seq: i,
@@ -299,7 +328,7 @@ pub fn run_bench(runs: usize) -> Vec<BenchCase> {
             1_000,
             8,
             2e-6,
-            false,
+            CoreFabric::Mesh,
             "flow_core_1k",
             "1k flows, 8-host mesh, general water-filling (events = flows completed)",
         ),
@@ -310,9 +339,21 @@ pub fn run_bench(runs: usize) -> Vec<BenchCase> {
             100_000,
             64,
             1e-5,
-            true,
+            CoreFabric::Shared,
             "flow_core_100k",
             "100k flows through one shared bottleneck, fast-path allocation (events = flows completed)",
+        ),
+        // 10k flows over 512 hosts in 16 racks at ~55% rack-link load:
+        // ~37 flows in flight share the rack links, and each event runs
+        // ~37 filling rounds — the fattree-100k regime.
+        flow_core(
+            runs,
+            10_000,
+            512,
+            3e-7,
+            CoreFabric::Racks(16),
+            "flow_core_racks",
+            "10k flows, 512 hosts in 16 racks, general water-filling at ~37 rounds per event (events = flows completed)",
         ),
     ]
 }
@@ -454,7 +495,7 @@ mod tests {
     #[test]
     fn bench_suite_runs_and_renders() {
         let cases = run_bench(1);
-        assert_eq!(cases.len(), 6);
+        assert_eq!(cases.len(), 7);
         // Every case tracks a real event count now (the engine counts
         // all dispatches, so anything that simulates is nonzero).
         for c in &cases {

@@ -37,11 +37,10 @@ use crate::engine::{self, PointOutcome, SIZE_BUCKETS};
 use crate::spec::{ScenarioSpec, TopologySpec};
 use crate::sweep::SweepPoint;
 use dcn_flow::{simulate, FlowDef, FlowNet, LinkId};
-use dcn_sim::{NodeId, SimStats};
+use dcn_sim::SimStats;
 use dcn_stats::slowdown;
 use dcn_transport::FlowSpec;
 use powertcp_core::Tick;
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Run one flow-engine sweep point. Deterministic: identical arguments
@@ -177,17 +176,20 @@ fn build_network(
             }
         }
     };
-    let index_of: BTreeMap<NodeId, usize> = plan
-        .map
-        .hosts
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| (node, i))
-        .collect();
+    // Host index by node id. Host ids are dense (they follow the
+    // switches), so a vector indexed by `NodeId.0` does the lookup.
+    let span = plan.map.hosts.iter().map(|h| h.0 as usize + 1).max();
+    let mut index_of = vec![u32::MAX; span.unwrap_or(0)];
+    for (i, h) in plan.map.hosts.iter().enumerate() {
+        index_of[h.0 as usize] = i as u32;
+    }
     let defs = flows
         .iter()
         .map(|f| {
-            let (src, dst) = (index_of[&f.src], index_of[&f.dst]);
+            let (src, dst) = (
+                index_of[f.src.0 as usize] as usize,
+                index_of[f.dst.0 as usize] as usize,
+            );
             let mut path = vec![up[src], down[dst]];
             let (rs, rd) = (plan.map.rack_of[src], plan.map.rack_of[dst]);
             match &fabric {

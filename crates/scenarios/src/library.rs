@@ -389,32 +389,43 @@ pub fn incast_battle() -> ScenarioSpec {
     .drain_ms(6.0)
 }
 
+/// A built-in scenario's name and the function that builds its spec.
+type Builtin = (&'static str, fn() -> ScenarioSpec);
+
+/// Every built-in scenario, by name, in `xp list` order. One table
+/// drives both [`builtin_specs`] and [`builtin`], so a lookup builds only
+/// the spec it returns.
+const BUILTINS: &[Builtin] = &[
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig3-small", fig3_small),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig6-small", fig6_small),
+    ("fig7", fig7),
+    ("fig7-flow", fig7_flow),
+    ("fig8", fig8),
+    ("fig9to11", fig9to11),
+    ("fattree-100k", fattree_100k),
+    ("fattree-100k-smoke", fattree_100k_smoke),
+    ("ablations", ablations),
+    ("theorems", theorems),
+    ("gamma-sweep", gamma_sweep),
+    ("incast-battle", incast_battle),
+];
+
 /// All built-in scenarios.
 pub fn builtin_specs() -> Vec<ScenarioSpec> {
-    vec![
-        fig2(),
-        fig3(),
-        fig3_small(),
-        fig4(),
-        fig5(),
-        fig6(),
-        fig6_small(),
-        fig7(),
-        fig7_flow(),
-        fig8(),
-        fig9to11(),
-        fattree_100k(),
-        fattree_100k_smoke(),
-        ablations(),
-        theorems(),
-        gamma_sweep(),
-        incast_battle(),
-    ]
+    BUILTINS.iter().map(|(_, make)| make()).collect()
 }
 
 /// Look up a built-in scenario by name.
 pub fn builtin(name: &str) -> Option<ScenarioSpec> {
-    builtin_specs().into_iter().find(|s| s.name == name)
+    BUILTINS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, make)| make())
 }
 
 #[cfg(test)]
@@ -425,7 +436,8 @@ mod tests {
     fn builtins_validate_and_round_trip() {
         let specs = builtin_specs();
         assert!(specs.len() >= 8);
-        for spec in specs {
+        for (spec, (name, _)) in specs.into_iter().zip(BUILTINS) {
+            assert_eq!(spec.name, *name, "the table's name is the spec's");
             spec.validate()
                 .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
             let back = ScenarioSpec::from_toml(&spec.to_toml())

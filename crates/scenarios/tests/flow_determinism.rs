@@ -6,7 +6,11 @@
 //! model has no queueing delay, CC ramp-up, or drops, so it sits
 //! *below* the packet numbers but in the same regime).
 //!
-//! To regenerate the golden after an intentional flow-engine change
+//! The 100k-host `fattree-100k-smoke` is pinned the same way: it is the
+//! case that runs general water-filling (tens of rounds per event) at
+//! scale, where `fig7-flow` barely leaves the single-bottleneck fast path.
+//!
+//! To regenerate the goldens after an intentional flow-engine change
 //! (bump `dcn_flow::FLOW_ENGINE_VERSION` too!):
 //! `GOLDEN_REGEN=1 cargo test -p dcn-scenarios --test flow_determinism`.
 
@@ -18,6 +22,25 @@ use dcn_scenarios::{
     SizeSpec, TopologySpec,
 };
 
+/// Compare a report with its committed golden `tests/<file>`, or
+/// rewrite the golden under `GOLDEN_REGEN`.
+fn assert_pinned(name: &str, json: &str, file: &str) {
+    let path = format!("{}/tests/{file}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var("GOLDEN_REGEN").is_ok() {
+        std::fs::write(&path, json).expect("write golden");
+    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|_| panic!("{name} baseline missing; regenerate with GOLDEN_REGEN=1"));
+    assert_eq!(
+        json, want,
+        "{name} drifted from the pinned baseline; if the flow engine \
+         changed intentionally, bump dcn_flow::FLOW_ENGINE_VERSION and \
+         regenerate with GOLDEN_REGEN=1"
+    );
+    let d = diff_reports(json, &want, 0.0).expect("diffable");
+    assert!(d.is_match(), "{:?}", d.differences);
+}
+
 #[test]
 fn fig7_flow_is_byte_identical_and_pinned() {
     let spec = builtin("fig7-flow").expect("builtin fig7-flow");
@@ -28,24 +51,18 @@ fn fig7_flow_is_byte_identical_and_pinned() {
     assert_eq!(t1.to_csv(), t4.to_csv(), "CSV differs at 4 threads");
     let again = run_sweep(&spec, 4).expect("second run");
     assert_eq!(json, again.to_json(), "reruns must replay bit-for-bit");
+    assert_pinned("fig7-flow", &json, "fig7_flow_baseline.json");
+}
 
-    let path = format!(
-        "{}/tests/fig7_flow_baseline.json",
-        env!("CARGO_MANIFEST_DIR")
+#[test]
+fn fattree_100k_smoke_is_pinned() {
+    let spec = builtin("fattree-100k-smoke").expect("builtin fattree-100k-smoke");
+    let json = run_sweep(&spec, 1).expect("smoke run").to_json();
+    assert_pinned(
+        "fattree-100k-smoke",
+        &json,
+        "fattree_100k_smoke_baseline.json",
     );
-    if std::env::var("GOLDEN_REGEN").is_ok() {
-        std::fs::write(&path, &json).expect("write golden");
-    }
-    let want = std::fs::read_to_string(&path)
-        .expect("fig7-flow baseline missing; regenerate with GOLDEN_REGEN=1");
-    assert_eq!(
-        json, want,
-        "fig7-flow drifted from the pinned baseline; if the flow engine \
-         changed intentionally, bump dcn_flow::FLOW_ENGINE_VERSION and \
-         regenerate with GOLDEN_REGEN=1"
-    );
-    let d = diff_reports(&json, &want, 0.0).expect("diffable");
-    assert!(d.is_match(), "{:?}", d.differences);
 }
 
 /// A fig7-class scenario (websearch + incast on the tiny fat-tree)
